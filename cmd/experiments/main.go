@@ -29,7 +29,6 @@ func main() {
 	chips := flag.Int("chips", 64, "platform size for the per-workload evaluation")
 	seed := flag.Uint64("seed", 0, "synthetic trace seed")
 	workers := flag.Int("workers", 0, "concurrent sweep cells (0 = all CPU cores)")
-	parallel := flag.Int("parallel-channels", 0, "per-device parallel-kernel worker threads (results stay byte-identical, GC and fault cells included; <2 or a single-channel platform keeps the serial kernel)")
 	noreuse := flag.Bool("noreuse", false, "build a fresh device per sweep cell instead of recycling through the device arena (results are identical; useful for profiling construction cost)")
 	saveState := flag.String("save-state", "", "precondition the evaluation platform to GC steady state once, write its warm state to this file, and exit")
 	loadState := flag.String("load-state", "", "hydrate every evaluation cell from this warm-state snapshot (aged-drive evaluation at fresh-drive cost)")
@@ -44,18 +43,7 @@ func main() {
 	app.Check(profiles.Start())
 	fail := app.Check
 
-	opts := experiments.Options{Scale: *scale, Chips: *chips, Seed: *seed, Workers: *workers, NoReuse: *noreuse, Parallel: *parallel, Faults: faults.Faults(), LoadState: *loadState}
-	if *parallel != 0 {
-		// Report which event kernel the knob resolves to on this platform
-		// (eligibility no longer depends on GC, only on the channel count).
-		kcfg := experiments.Platform(*chips)
-		kcfg.ParallelChannels = *parallel
-		if kcfg.UsesParallelKernel() {
-			fmt.Printf("event kernel: partitioned per-channel, %d workers per device\n", *parallel)
-		} else {
-			fmt.Println("event kernel: serial (-parallel-channels ineligible on this platform)")
-		}
-	}
+	opts := experiments.Options{Scale: *scale, Chips: *chips, Seed: *seed, Workers: *workers, NoReuse: *noreuse, Faults: faults.Faults(), LoadState: *loadState}
 	if *saveState != "" {
 		app.Check(experiments.SaveWarmState(opts, *saveState))
 		fmt.Printf("warm state saved to %s\n", *saveState)

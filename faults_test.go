@@ -1,89 +1,24 @@
 package sprinkler_test
 
-// Fault-injection pins: the three standing determinism contracts of the
-// fault model. (1) Serial and parallel kernels replay the identical fault
-// schedule — byte-identical JSON Results under randomized fault specs and
-// worker counts. (2) A zero-rate spec is byte-identical to a fault-free
-// build, even with retry-ladder knobs set: zero probabilities consume no
-// RNG draws. (3) Spare exhaustion degrades the drive to read-only mode
-// with a flagged Result instead of a panic or hang.
+// Fault-injection pins: the standing determinism contracts of the fault
+// model. (1) Aggressive rates make the fault counters fire. (2) A
+// zero-rate spec is byte-identical to a fault-free build, even with
+// retry-ladder knobs set: zero probabilities consume no RNG draws. (3)
+// Spare exhaustion degrades the drive to read-only mode with a flagged
+// Result instead of a panic or hang.
 
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"testing"
 
 	"sprinkler"
 )
 
-// parityFaults draws a randomized fault spec for the parity trials. Erase
-// faults and spares are left zero: parity configs disable GC, so the erase
-// path never runs there (it is pinned by the arena and degraded-mode
-// tests instead).
-func parityFaults(rng *rand.Rand) sprinkler.FaultSpec {
-	probs := []float64{0.005, 0.02, 0.08, 0.25}
-	spec := sprinkler.FaultSpec{
-		ReadFailProb:    probs[rng.Intn(len(probs))],
-		ProgramFailProb: probs[rng.Intn(len(probs))],
-		ReadRetryMax:    1 + rng.Intn(4),
-		ReadRetryMult:   1 + rng.Intn(3),
-		RewriteMax:      1 + rng.Intn(4),
-		Seed:            rng.Uint64(),
-	}
-	if rng.Intn(2) == 0 {
-		spec.OutagePeriodNS = int64(200_000 * (1 + rng.Intn(5)))
-		spec.OutageDurNS = spec.OutagePeriodNS / int64(2+rng.Intn(6))
-	}
-	return spec
-}
-
-// TestParallelMatchesSerialFaults extends the kernel parity pin to the
-// fault model: randomized fault rates, retry ladders and outage windows
-// must produce byte-identical Results under the serial and partitioned
-// kernels for every scheduler and worker count. A divergence means a
-// fault draw depended on event drain order.
-func TestParallelMatchesSerialFaults(t *testing.T) {
-	trials, requests := 4, 500
-	if testing.Short() {
-		trials, requests = 2, 200
-	}
-	for _, kind := range sprinkler.Schedulers() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(len(kind))*104729 + 17))
-			for trial := 0; trial < trials; trial++ {
-				cfg := parityConfig(rng, kind)
-				cfg.Faults = parityFaults(rng)
-				precond := rng.Intn(2) == 0
-				pseed := rng.Uint64()
-				wseed := rng.Int63()
-
-				serial := cfg
-				serial.ParallelChannels = 0
-				workers := 2 + rng.Intn(7)
-				parallel := cfg
-				parallel.ParallelChannels = workers
-
-				srcRng := rand.New(rand.NewSource(wseed))
-				want := runOnce(t, serial, precond, pseed, paritySource(t, srcRng, serial, requests))
-				srcRng = rand.New(rand.NewSource(wseed))
-				got := runOnce(t, parallel, precond, pseed, paritySource(t, srcRng, parallel, requests))
-				if want != got {
-					t.Fatalf("trial %d (workers=%d faults=%+v): parallel result diverges\nserial:   %s\nparallel: %s",
-						trial, workers, cfg.Faults, want, got)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelFaultCountersNonZero guards the parity suite against
-// vacuity: with aggressive rates the fault counters must actually fire
-// under both kernels, so the parity trials above compare live fault
-// machinery rather than two idle models.
-func TestParallelFaultCountersNonZero(t *testing.T) {
+// TestFaultCountersNonZero guards the fault model against vacuity: with
+// aggressive rates the read-retry and program-fail counters must actually
+// fire.
+func TestFaultCountersNonZero(t *testing.T) {
 	cfg := sprinkler.DefaultConfig()
 	cfg.Scheduler = sprinkler.SPK3
 	cfg.Channels = 4
@@ -99,26 +34,22 @@ func TestParallelFaultCountersNonZero(t *testing.T) {
 		RewriteMax:      3,
 		Seed:            7,
 	}
-	for _, workers := range []int{0, 4} {
-		cfg := cfg
-		cfg.ParallelChannels = workers
-		dev, err := sprinkler.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.Precondition(0.5, 0.2, 11)
-		src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "cfs0", Requests: 400, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := dev.Run(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.ReadRetries == 0 || res.ProgramFails == 0 {
-			t.Fatalf("workers=%d: fault model idle under 30%% rates: retries=%d programFails=%d",
-				workers, res.ReadRetries, res.ProgramFails)
-		}
+	dev, err := sprinkler.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Precondition(0.5, 0.2, 11)
+	src, err := cfg.NewWorkloadSource(sprinkler.WorkloadSpec{Name: "cfs0", Requests: 400, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dev.Run(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReadRetries == 0 || res.ProgramFails == 0 {
+		t.Fatalf("fault model idle under 30%% rates: retries=%d programFails=%d",
+			res.ReadRetries, res.ProgramFails)
 	}
 }
 

@@ -331,16 +331,3 @@ func (g Grid) cellSeed(key string) uint64 {
 	}
 	return s
 }
-
-// Sweep builds the scheduler × workload cross product on one platform —
-// the paper's evaluation grid — as a convenience wrapper over Grid. Every
-// scheduler sees the identical trace for a given workload, so differences
-// between rows are scheduling, not input noise.
-func Sweep(base Config, scheds []SchedulerKind, workloads []string, requests int) []Cell {
-	return Grid{
-		Base:       base,
-		Schedulers: scheds,
-		Workloads:  workloads,
-		Requests:   requests,
-	}.Cells()
-}

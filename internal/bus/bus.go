@@ -32,8 +32,8 @@ type pending struct {
 
 // New returns an idle channel bus bound to eng. The release event runs on
 // the channel's lane (id+1): every event owned by one device channel shares
-// that lane, so the serial kernel's same-instant order matches the
-// per-channel partitioned kernel's.
+// that lane, so a channel's same-instant events fire together, after the
+// host's and before the next channel's (see package sim).
 func New(eng *sim.Engine, id int) *Channel {
 	c := &Channel{eng: eng, id: id}
 	c.releaseT = sim.NewTimer(c.release)

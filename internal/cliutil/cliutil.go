@@ -109,7 +109,6 @@ type Platform struct {
 	Queue    int
 	Sched    string
 	GCStress bool
-	Parallel int
 
 	// Fault-injection knobs (-fault-*). FaultRate sets all three
 	// per-operation probabilities at once; the per-op flags override it.
@@ -128,8 +127,6 @@ func (p *Platform) Register(fs *flag.FlagSet) {
 	fs.IntVar(&p.Queue, "queue", 64, "device-level queue depth")
 	fs.StringVar(&p.Sched, "sched", "SPK3", "scheduler: VAS, PAS, SPK1, SPK2, SPK3")
 	fs.BoolVar(&p.GCStress, "gc", false, "shrink blocks and precondition to 95% full so GC runs")
-	fs.IntVar(&p.Parallel, "parallel-channels", 0,
-		"partition the event kernel by channel and advance it with up to this many worker threads (results stay byte-identical, GC and faults included; <2 or a single-channel platform keeps the serial kernel)")
 	p.RegisterFaults(fs)
 }
 
@@ -172,7 +169,6 @@ func (p Platform) Config() sprinkler.Config {
 	cfg := sprinkler.Platform(p.Chips)
 	cfg.QueueDepth = p.Queue
 	cfg.Scheduler = sprinkler.SchedulerKind(p.Sched)
-	cfg.ParallelChannels = p.Parallel
 	cfg.Faults = p.Faults()
 	if p.GCStress {
 		cfg.BlocksPerPlane = 24

@@ -215,7 +215,7 @@ func FormatFig1(points []Fig1Point) string {
 // renders the VAS vs PAS and VAS vs SPK3 latency time series (§5.4).
 func RunFig12(opts Options) (string, error) {
 	opts = opts.Defaults()
-	cfg := opts.platform()
+	cfg := Platform(opts.Chips)
 	cfg.CollectSeries = true
 	n := opts.scaled(3000, 150)
 

@@ -100,9 +100,9 @@ type Chip struct {
 
 // NewChip returns an idle chip bound to eng and bus. All of the chip's
 // events run on its channel's lane (channel index + 1), matching the bus it
-// hangs off: a channel's whole event population shares one lane, which is
-// what lets the parallel device kernel give each channel its own engine
-// while reproducing the serial timeline exactly.
+// hangs off: a channel's whole event population shares one lane, so its
+// same-instant events fire in schedule order after every host event of
+// the instant.
 func NewChip(eng *sim.Engine, bus Bus, id ChipID, g Geometry, t Timing) *Chip {
 	c := &Chip{ID: id, Geo: g, Tim: t, eng: eng, bus: bus}
 	lane := int32(g.Channel(id)) + 1

@@ -5,9 +5,9 @@ import "sprinkler/internal/sim"
 // FaultConfig parameterizes the deterministic fault model a chip applies to
 // its own operations. All outcomes are drawn from a per-chip RNG stream in
 // chip-local transaction order, or (for outages) computed as a pure function
-// of simulated time — never from shared state — so a run's fault pattern is
-// identical whichever kernel (serial or per-channel parallel) drains the
-// event population, and identical again after a Reset/arena reuse.
+// of simulated time — never from shared state — so a run's fault pattern
+// does not depend on how events of different chips interleave, and is
+// identical again after a Reset/arena reuse.
 //
 // The zero value disables the model entirely: no RNG stream is created and
 // no draws are made, so a zero-config run is byte-identical to a build

@@ -717,6 +717,40 @@ func TestOpenRejectsInvalidFaultSpec(t *testing.T) {
 	openSession(t, ts, OpenRequest{Name: "ok", Faults: &sprinkler.FaultSpec{ReadFailProb: 0.01, ReadRetryMax: 2}})
 }
 
+// TestOpenRejectsRemovedParallelChannels: the removed parallelChannels
+// knob is refused by name with 400 rather than silently ignored, while a
+// zero value (what an omitting client sends) still opens.
+func TestOpenRejectsRemovedParallelChannels(t *testing.T) {
+	_, ts := newTestServer(t, testOptions())
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"name":"p","parallelChannels":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("open with parallelChannels: status %d, want 400", resp.StatusCode)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.Error, "parallelChannels") {
+		t.Errorf("error %q does not name the removed field", body.Error)
+	}
+	ok, err := http.Post(ts.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"name":"p","parallelChannels":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok.Body.Close()
+	if ok.StatusCode != http.StatusCreated {
+		t.Fatalf("open with parallelChannels 0: status %d, want 201", ok.StatusCode)
+	}
+}
+
 // TestFaultSessionMetrics: a session opened with an aggressive fault spec
 // surfaces its fault counters in the session listing and the Prometheus
 // exposition.

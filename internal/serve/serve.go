@@ -367,9 +367,12 @@ func (s *Server) listSnapshots() ([]SnapshotInfo, error) {
 // observation budgets apply on top — so the platform knobs are rejected
 // rather than silently ignored.
 func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sprinkler.Config, error) {
+	if req.ParallelChannels != 0 {
+		return sprinkler.Config{}, fmt.Errorf("parallelChannels was removed: every session simulates on one serial event kernel, so drop the field")
+	}
 	if snap != nil {
-		if req.Chips > 0 || req.Queue > 0 || req.GCStress || req.ParallelChannels != 0 || req.Faults != nil {
-			return sprinkler.Config{}, fmt.Errorf("warmState sessions take their platform from the snapshot; chips, queue, gcStress, parallelChannels and faults cannot be combined with it")
+		if req.Chips > 0 || req.Queue > 0 || req.GCStress || req.Faults != nil {
+			return sprinkler.Config{}, fmt.Errorf("warmState sessions take their platform from the snapshot; chips, queue, gcStress and faults cannot be combined with it")
 		}
 		cfg := snap.Config()
 		if req.Scheduler != "" {
@@ -397,7 +400,6 @@ func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sp
 			cfg = sprinkler.Platform(req.Chips)
 			cfg.QueueDepth = base.QueueDepth
 			cfg.Scheduler = base.Scheduler
-			cfg.ParallelChannels = base.ParallelChannels
 		}
 		if req.Queue > 0 {
 			cfg.QueueDepth = req.Queue
@@ -410,11 +412,6 @@ func (s *Server) sessionCfg(req OpenRequest, snap *sprinkler.DeviceSnapshot) (sp
 			cfg.PagesPerBlock = 64
 			cfg.LogicalPages = cfg.TotalPages() * 85 / 100
 		}
-	}
-	// A non-zero request overrides the daemon's worker count; negatives
-	// are carried into the config so Validate rejects them.
-	if req.ParallelChannels != 0 {
-		cfg.ParallelChannels = req.ParallelChannels
 	}
 	// A present fault spec replaces the base one wholesale (a partial
 	// overlay could silently mix two experiments' fault models); invalid
@@ -541,20 +538,13 @@ func (s *Server) Open(req OpenRequest) (*session, *OpenResponse, error) {
 	sess.publish(inner.Snapshot())
 	sess.unlock()
 	s.counters.SessionsOpened.Add(1)
-	// Echo the kernel the session actually resolved to, not the raw
-	// knob: zero tells the client the serial fallback engaged.
-	parallel := cfg.ParallelChannels
-	if !cfg.UsesParallelKernel() {
-		parallel = 0
-	}
 	return sess, &OpenResponse{
-		ID:               id,
-		Chips:            cfg.Channels * cfg.ChipsPerChan,
-		Scheduler:        string(cfg.Scheduler),
-		MaxBacklog:       cfg.MaxBacklog,
-		SeriesWindow:     cfg.SeriesWindow,
-		ParallelChannels: parallel,
-		WarmState:        req.WarmState,
+		ID:           id,
+		Chips:        cfg.Channels * cfg.ChipsPerChan,
+		Scheduler:    string(cfg.Scheduler),
+		MaxBacklog:   cfg.MaxBacklog,
+		SeriesWindow: cfg.SeriesWindow,
+		WarmState:    req.WarmState,
 	}, nil
 }
 

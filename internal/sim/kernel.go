@@ -10,12 +10,14 @@
 // fire in ascending order within an instant, and within a lane events fire
 // in the order they were scheduled (FIFO tie-breaking by sequence number).
 //
-// Lanes exist for the parallel per-channel device kernel: when a device is
-// partitioned into per-channel sub-engines, each sub-engine owns exactly
-// one lane, so the serial engine's (time, lane, seq) order restricted to a
-// lane equals that sub-engine's local (time, seq) order. That makes the
-// partitioned execution's timeline provably identical to the serial one —
-// the serial kernel stays the reference, the parallel kernel replays it.
+// Lanes fix the device model's same-instant order. The host side runs on
+// lane 0, each flash channel's bus, chips and transaction builders on its
+// own lane (channel+1), and the device's end-of-instant flush of staged
+// channel messages on the last lane. Whatever order the events of one
+// instant were scheduled in, every host event of the instant runs first,
+// then each channel's events in channel order, then the flush: a channel
+// completion is never observed by the host mid-instant, and the timeline
+// does not depend on which component happened to schedule first.
 //
 // The event queue is a slab-backed 4-ary heap of event values: scheduling
 // reuses slab slots through a free list, so steady-state operation performs
@@ -24,10 +26,7 @@
 // once at construction, eliminating per-event closure allocations too.
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Time is a point in simulated time, in nanoseconds since simulation start.
 type Time int64
@@ -136,15 +135,6 @@ func (t *Timer) SetLane(lane int32) {
 // Pending reports whether the timer is currently scheduled.
 func (t *Timer) Pending() bool { return t.h.active() }
 
-// When returns the fire time of the timer's pending schedule; ok is false
-// when the timer is not pending.
-func (t *Timer) When() (at Time, ok bool) {
-	if !t.h.active() {
-		return 0, false
-	}
-	return t.h.e.slab[t.h.idx].at, true
-}
-
 // Stop cancels the pending schedule, if any.
 func (t *Timer) Stop() {
 	t.h.Cancel()
@@ -160,16 +150,6 @@ type Engine struct {
 	heap    []int32 // 4-ary heap of slab indices, ordered by (at, seq)
 	fired   uint64
 	stopped bool
-
-	// capT/capActive bound RunUntil below its deadline: with a cap set,
-	// RunUntil executes no event later than capT and leaves the clock
-	// where the last event ran instead of advancing it to the deadline.
-	// The parallel device kernel caps a channel's sub-engine at the
-	// instant of a staged completion whose host-side processing can
-	// commit garbage-collection traffic back onto that channel, so the
-	// channel parks there until the coordinator has applied the commit.
-	capT      Time
-	capActive bool
 }
 
 // NewEngine returns an Engine at time zero with an empty event queue.
@@ -333,24 +313,6 @@ func (e *Engine) AfterTimer(delay Time, t *Timer) {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// CapRun bounds subsequent RunUntil calls to events at or before t. When a
-// cap is already set the earlier bound wins. Callable from within an
-// executing event: the current RunUntil honours the cap for the events it
-// has not yet popped, finishes any remaining events at instants <= t, and
-// stops without advancing the clock past the last executed event.
-func (e *Engine) CapRun(t Time) {
-	if !e.capActive || t < e.capT {
-		e.capT = t
-	}
-	e.capActive = true
-}
-
-// Uncap clears the RunUntil bound set by CapRun.
-func (e *Engine) Uncap() { e.capActive = false }
-
-// CappedAt returns the active RunUntil bound, if any.
-func (e *Engine) CappedAt() (Time, bool) { return e.capT, e.capActive }
-
 // Reset returns the engine to time zero with an empty event queue, as if
 // freshly constructed — but with the slab and heap storage retained, so a
 // reused engine schedules its next run without growing allocations. Every
@@ -368,7 +330,6 @@ func (e *Engine) Reset() {
 	}
 	e.heap = e.heap[:0]
 	e.now, e.seq, e.fired, e.stopped = 0, 0, 0, false
-	e.capT, e.capActive = 0, false
 }
 
 // pop removes and returns the earliest event's payload, releasing its slot
@@ -408,13 +369,11 @@ func (e *Engine) Run(budget uint64) Time {
 
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
-// With a CapRun bound below the deadline, execution stops at the bound
-// instead and the clock stays at the last executed event.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
 		at := e.slab[e.heap[0]].at
-		if at > deadline || (e.capActive && at > e.capT) {
+		if at > deadline {
 			break
 		}
 		var fn Event
@@ -423,23 +382,10 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.fired++
 		fn(e.now)
 	}
-	if e.now < deadline && !e.capActive {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
 // Drained reports whether the queue holds no events.
 func (e *Engine) Drained() bool { return len(e.heap) == 0 }
-
-// NextAt peeks at the earliest pending event's timestamp without executing
-// anything. ok is false when the queue is empty. The epoch loop of the
-// parallel device kernel uses it to size conservative lookahead windows.
-func (e *Engine) NextAt() (at Time, ok bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.slab[e.heap[0]].at, true
-}
-
-// MaxTime is the largest representable simulation time.
-const MaxTime = Time(math.MaxInt64)

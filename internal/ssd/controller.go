@@ -5,7 +5,6 @@ import (
 
 	"sprinkler/internal/bus"
 	"sprinkler/internal/flash"
-	"sprinkler/internal/req"
 	"sprinkler/internal/sim"
 )
 
@@ -29,11 +28,10 @@ import (
 //
 // The controller never calls back into the device synchronously. Progress
 // notifications (transaction start/end, member-request completions) are
-// staged into a per-channel message list and drained by the device at the
-// end of the instant — through a flush event on the single-engine kernel,
-// or at the epoch barrier of the parallel per-channel kernel. Staging is
-// what makes the two kernels byte-identical: in both, every channel's
-// messages for one instant are applied in (channel, staging order).
+// staged into a per-channel message list and drained by the device's
+// flush event at the end of the instant, in (channel, staging order). The
+// host therefore sees one instant's channel progress in a fixed order,
+// independent of how the channel events of that instant interleaved.
 type controller struct {
 	eng     *sim.Engine
 	geo     flash.Geometry
@@ -56,18 +54,8 @@ type controller struct {
 	stagedHead int
 
 	// noteStaged, when set, tells the owner that a message was staged at
-	// now. The single-engine device arms its flush event from it; the
-	// parallel kernel leaves it nil and drains at epoch barriers.
+	// now; the device arms its end-of-instant flush from it.
 	noteStaged func(now sim.Time)
-
-	// parkOnHazard is set by the parallel kernel when GC is enabled:
-	// staging a completion whose host-side processing can commit GC flash
-	// traffic back onto this channel caps the sub-engine at the staging
-	// instant, so the channel waits there for the epoch coordinator to
-	// deliver the commit before simulating past it. GC migrations are
-	// chip-local (ftl.PlanGC allocates destinations on the victim's chip),
-	// so the commit always targets the channel that parked.
-	parkOnHazard bool
 }
 
 // stagedKind discriminates channel→device messages.
@@ -138,28 +126,6 @@ func (ctl *controller) stage(msg stagedMsg) {
 	if ctl.noteStaged != nil {
 		ctl.noteStaged(msg.at)
 	}
-	if ctl.parkOnHazard && msg.kind == stagedReqDone && hazardousToken(msg.r.Token) {
-		ctl.eng.CapRun(msg.at)
-	}
-}
-
-// hazardousToken reports whether the host-side processing of a completed
-// request can commit new flash traffic at the completion instant: GC step
-// completions chain the job's next phase (reads → programs → erase → next
-// victim), and host write completions can arm a new collection
-// (maybeStartGC). Both commit onto the completing request's own chip, so
-// the staging channel parks and no other channel is affected. Reading the
-// token from channel context is race-free: the fields inspected are set
-// before the request is committed to the channel and never change while it
-// is in flight.
-func hazardousToken(tok interface{}) bool {
-	switch t := tok.(type) {
-	case *gcStep:
-		return true
-	case *req.Mem:
-		return t.IO.Kind == req.Write
-	}
-	return false
 }
 
 // stagedNext peeks the first undrained message's timestamp.
@@ -236,9 +202,7 @@ func (ctl *controller) chip(id flash.ChipID) *flash.Chip {
 // the transaction builder if the chip is ready. Callers run in device
 // (host) context and pass the current instant plus their view of the
 // chip's busy state — the device's staged mirror, which reflects exactly
-// the transaction starts/ends the host has processed so far. (On the
-// parallel kernel the chip object itself may already have advanced past
-// now; the mirror is the causally correct view in both kernels.)
+// the transaction starts/ends the host has processed so far.
 func (ctl *controller) commit(now sim.Time, r flash.Request, chipBusy bool) {
 	id := r.Addr.Chip
 	off := ctl.offset(id)

@@ -84,33 +84,18 @@ type Device struct {
 	// chipBusyM mirrors each chip's R/B line as of the staged transaction
 	// start/done messages the device has processed. Host-side code (the
 	// scheduler's Fabric view, commit-time build arming) reads this mirror
-	// instead of the chip object: on the single-engine kernel the two are
-	// identical at every host event, and on the parallel kernel the chip
-	// object may have run ahead of the host clock, making the mirror the
-	// only causally correct view.
+	// instead of the chip object: a chip that started or retired a
+	// transaction earlier in the current instant is not yet seen as such
+	// by the host until the end-of-instant flush applies the message, so
+	// host decisions within one instant all see the same chip states.
 	chipBusyM []bool
 
 	// flushT drains staged channel→device messages at the end of the
-	// current instant on the single-engine kernel. Its lane sorts after
-	// every channel lane, so it fires once all channel events of the
-	// instant have staged their messages.
+	// current instant. Its lane sorts after every channel lane, so it
+	// fires once all channel events of the instant have staged their
+	// messages.
 	flushT     *sim.Timer
 	flushArmed bool
-
-	// par drives the per-channel partitioned kernel; nil on the
-	// single-engine kernel.
-	par *parRunner
-
-	// retransQ holds the fire times of pending stale-read retranslate
-	// commits (finishCompose's RetranslatePenalty events), head-indexed in
-	// schedule order — which is fire-time order, because the composer
-	// serializes compositions and the penalty is constant. The parallel
-	// kernel bounds its epoch horizon by the queue head: a retranslated
-	// commit is a host event that lands on an arbitrary channel with no
-	// compose-latency lookahead, so no channel may simulate past it.
-	// Maintained on both kernels (serial never reads it).
-	retransQ    []sim.Time
-	retransHead int
 
 	// onRetire, installed with SetIORetire, observes each host I/O after
 	// it has fully completed and left every device structure — the
@@ -223,35 +208,16 @@ func NewWithFTLMeta(cfg Config, scheduler sched.Scheduler, meta *ftl.BlockMeta) 
 		d.arrivalIO = nil
 		d.arrive(now, io)
 	})
-	d.buildControllers(cfg.partitioned())
+	d.ctrls = make([]*controller, cfg.Geo.Channels)
+	for ch := range d.ctrls {
+		ctl := newController(d.eng, cfg.Geo, cfg.Tim, cfg.Faults.flashConfig(), ch)
+		ctl.noteStaged = d.noteStaged
+		d.ctrls[ch] = ctl
+	}
 	return d, nil
 }
 
-// buildControllers constructs the per-channel controllers, either all bound
-// to the device's single engine or — for the partitioned kernel — each to
-// its own per-channel sub-engine driven by the epoch runner.
-func (d *Device) buildControllers(partitioned bool) {
-	d.ctrls = make([]*controller, d.cfg.Geo.Channels)
-	for ch := range d.ctrls {
-		eng := d.eng
-		if partitioned {
-			eng = sim.NewEngine()
-		}
-		ctl := newController(eng, d.cfg.Geo, d.cfg.Tim, d.cfg.Faults.flashConfig(), ch)
-		if !partitioned {
-			ctl.noteStaged = d.noteStaged
-		}
-		ctl.parkOnHazard = partitioned && !d.cfg.DisableGC
-		d.ctrls[ch] = ctl
-	}
-	if partitioned {
-		d.par = newParRunner(d)
-	} else {
-		d.par = nil
-	}
-}
-
-// noteStaged arms the end-of-instant flush on the single-engine kernel.
+// noteStaged arms the end-of-instant flush.
 func (d *Device) noteStaged(now sim.Time) {
 	if d.flushArmed {
 		return
@@ -261,8 +227,7 @@ func (d *Device) noteStaged(now sim.Time) {
 }
 
 // flush applies every staged channel→device message of the current
-// instant, in (channel, staging order) — the same order the partitioned
-// kernel's epoch barrier applies them in.
+// instant, in (channel, staging order).
 func (d *Device) flush(now sim.Time) {
 	d.flushArmed = false
 	for _, ctl := range d.ctrls {
@@ -334,25 +299,8 @@ func (d *Device) Reset(cfg Config, scheduler sched.Scheduler) error {
 	} else {
 		d.queue = nvmhc.NewQueue(cfg.QueueDepth)
 	}
-	if was, want := d.cfg.partitioned(), cfg.partitioned(); was != want {
-		// The kernel partitioning changed across runs: controllers, buses
-		// and chips are bound to their engine at construction, so rebuild
-		// them on the new layout. Rare (a per-run knob flip), and the only
-		// Reset path that allocates.
-		d.cfg = cfg
-		d.buildControllers(want)
-	} else {
-		if d.par != nil {
-			for _, ctl := range d.ctrls {
-				ctl.eng.Reset()
-			}
-		}
-		for _, ctl := range d.ctrls {
-			ctl.reset(cfg.Tim, cfg.Faults.flashConfig())
-			// DisableGC is a per-run knob that can flip without changing the
-			// kernel partitioning, so re-derive the hazard-parking flag.
-			ctl.parkOnHazard = d.par != nil && !cfg.DisableGC
-		}
+	for _, ctl := range d.ctrls {
+		ctl.reset(cfg.Tim, cfg.Faults.flashConfig())
 	}
 	for i := range d.chipBusyM {
 		d.chipBusyM[i] = false
@@ -376,8 +324,6 @@ func (d *Device) Reset(cfg Config, scheduler sched.Scheduler) error {
 	d.composing = false
 	d.composeM = nil
 	d.composeTimer.Stop()
-	d.retransQ = d.retransQ[:0]
-	d.retransHead = 0
 
 	for i := range d.backlog {
 		d.backlog[i] = nil
@@ -433,9 +379,7 @@ func (d *Device) Outstanding(c flash.ChipID) int { return d.outstanding[int(c)] 
 
 // ChipBusy implements sched.Fabric: the host-side R/B mirror, which
 // reflects exactly the transaction starts/ends whose staged messages the
-// device has processed. At every host event this equals the chip object's
-// own state on the single-engine kernel; on the partitioned kernel the
-// chip may have simulated ahead, and the mirror is the causal view.
+// device has processed.
 func (d *Device) ChipBusy(c flash.ChipID) bool {
 	return d.chipBusyM[c]
 }
@@ -526,17 +470,11 @@ func (d *Device) Drain(ctx context.Context) (*metrics.Result, error) {
 const cancelCheckEvents = 1 << 16
 
 func (d *Device) drain(ctx context.Context) (*metrics.Result, error) {
-	if d.par != nil {
-		if err := d.par.drain(ctx); err != nil {
+	for d.eng.Pending() > 0 {
+		if err := ctx.Err(); err != nil {
 			return d.Snapshot(), err
 		}
-	} else {
-		for d.eng.Pending() > 0 {
-			if err := ctx.Err(); err != nil {
-				return d.Snapshot(), err
-			}
-			d.eng.Run(d.eng.Fired() + cancelCheckEvents)
-		}
+		d.eng.Run(d.eng.Fired() + cancelCheckEvents)
 	}
 	d.account(d.eng.Now())
 	if d.inflight > 0 {
@@ -561,11 +499,7 @@ func (d *Device) Submit(io *req.IO) {
 // then moves the clock there, leaving later events queued. Session mode's
 // windowing primitive.
 func (d *Device) Advance(to sim.Time) {
-	if d.par != nil {
-		d.par.advance(to)
-	} else {
-		d.eng.RunUntil(to)
-	}
+	d.eng.RunUntil(to)
 	d.account(d.eng.Now())
 }
 
@@ -816,9 +750,7 @@ func (d *Device) finishCompose(now sim.Time, m *req.Mem) {
 				// The scheduler planned against a stale layout: the core
 				// must re-translate before commitment.
 				d.staleFixes++
-				d.pushRetrans(now + d.cfg.RetranslatePenalty)
 				d.eng.After(d.cfg.RetranslatePenalty, func(t sim.Time) {
-					d.popRetrans(t)
 					d.commit(t, m)
 				})
 				return
@@ -826,36 +758,6 @@ func (d *Device) finishCompose(now sim.Time, m *req.Mem) {
 		}
 	}
 	d.commit(now, m)
-}
-
-// pushRetrans records a pending retranslate commit's fire time. Pushes are
-// fire-time monotone: the composer serializes compositions and the penalty
-// is constant.
-func (d *Device) pushRetrans(at sim.Time) {
-	if n := len(d.retransQ); n > d.retransHead && d.retransQ[n-1] > at {
-		panic("ssd: retranslate fire times out of order")
-	}
-	d.retransQ = append(d.retransQ, at)
-}
-
-// popRetrans retires the head entry when its commit fires.
-func (d *Device) popRetrans(at sim.Time) {
-	if d.retransHead >= len(d.retransQ) || d.retransQ[d.retransHead] != at {
-		panic("ssd: retranslate queue out of sync")
-	}
-	d.retransHead++
-	if d.retransHead == len(d.retransQ) {
-		d.retransQ = d.retransQ[:0]
-		d.retransHead = 0
-	}
-}
-
-// nextRetrans peeks the earliest pending retranslate commit's fire time.
-func (d *Device) nextRetrans() (sim.Time, bool) {
-	if d.retransHead >= len(d.retransQ) {
-		return 0, false
-	}
-	return d.retransQ[d.retransHead], true
 }
 
 func (d *Device) commit(now sim.Time, m *req.Mem) {
@@ -895,9 +797,8 @@ const (
 
 // recoverProgramFail handles a host write whose program reported failure:
 // the FTL remaps the page to a fresh block and the member re-enters the DMA
-// compose queue. Routing the rewrite through the composer is what keeps the
-// parallel kernel's parity contract: the re-commit lands at least
-// ComposeLatency ahead of now, inside the epoch lookahead.
+// compose queue, so the rewrite pays the same composition cost as the
+// original write.
 func (d *Device) recoverProgramFail(now sim.Time, m *req.Mem) rewriteOutcome {
 	if int(m.Rewrites) >= d.cfg.Faults.RewriteMax {
 		return rewriteExhausted

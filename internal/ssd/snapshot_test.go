@@ -95,10 +95,7 @@ func TestDeviceStateCodecRoundTrip(t *testing.T) {
 }
 
 // TestLoadStateRejectsShapeMismatch pins the structural validation: a
-// state captured on one geometry cannot hydrate another. Kernel shape is
-// NOT part of the structural contract — a serial capture hydrates a
-// partitioned device (the sub-engine clocks adopt the host clock) and
-// vice versa, since a quiescent snapshot carries no pending events.
+// state captured on one geometry cannot hydrate another.
 func TestLoadStateRejectsShapeMismatch(t *testing.T) {
 	d, err := New(gcConfig(), core.NewSPK3())
 	if err != nil {
@@ -119,36 +116,50 @@ func TestLoadStateRejectsShapeMismatch(t *testing.T) {
 	if err := db.LoadState(st); err == nil {
 		t.Error("geometry mismatch did not error")
 	}
+}
 
-	par := gcConfig()
-	par.ParallelChannels = 2
-	dp, err := New(par, core.NewSPK3())
+// TestDecodeDropsLegacyChannelClocks pins payload compatibility with
+// captures that carried per-channel engine clocks: the decoder skips
+// them, and the state re-encodes to the current (zero-clock) layout.
+func TestDecodeDropsLegacyChannelClocks(t *testing.T) {
+	d, err := New(gcConfig(), core.NewSPK3())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp.par == nil {
-		t.Fatal("test premise broken: device is not partitioned")
+	d.Precondition(0.6, 0.2, 9)
+	st, err := d.CaptureState()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := dp.LoadState(st); err != nil {
-		t.Errorf("serial capture did not hydrate a partitioned device: %v", err)
-	}
-	for ch, ctl := range dp.ctrls {
-		if ctl.eng.Now() != dp.eng.Now() {
-			t.Errorf("channel %d clock %v, want host clock %v", ch, ctl.eng.Now(), dp.eng.Now())
-		}
+	var cur bytes.Buffer
+	if err := st.Encode(&cur); err != nil {
+		t.Fatal(err)
 	}
 
-	// And the reverse: a partitioned capture hydrates a serial device.
-	stp, err := dp.CaptureState()
+	// Splice two channel clocks into the slot after the engine clock,
+	// where the current encoder writes a zero count.
+	var legacy bytes.Buffer
+	sw := &stateWriter{w: &legacy}
+	sw.clock(st.Engine)
+	head := legacy.Len()
+	if cur.Bytes()[head] != 0 {
+		t.Fatalf("channel-clock count byte = %d, want 0", cur.Bytes()[head])
+	}
+	sw.uvarint(2)
+	sw.clock(st.Engine)
+	sw.clock(sim.EngineClock{Now: st.Engine.Now - 1, Seq: 3, Fired: 3})
+	legacy.Write(cur.Bytes()[head+1:])
+
+	decoded, err := DecodeDeviceState(bytes.NewReader(legacy.Bytes()))
 	if err != nil {
+		t.Fatalf("legacy payload rejected: %v", err)
+	}
+	var again bytes.Buffer
+	if err := decoded.Encode(&again); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := New(gcConfig(), core.NewSPK3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.LoadState(stp); err != nil {
-		t.Errorf("partitioned capture did not hydrate a serial device: %v", err)
+	if !bytes.Equal(again.Bytes(), cur.Bytes()) {
+		t.Fatalf("legacy payload decoded to a different state (%d vs %d bytes)", again.Len(), cur.Len())
 	}
 }
 

@@ -12,7 +12,12 @@ import (
 // sweepCells builds a small scheduler-comparison grid.
 func sweepCells() []sprinkler.Cell {
 	cfg := smallConfig(sprinkler.SPK3)
-	return sprinkler.Sweep(cfg, sprinkler.Schedulers(), []string{"cfs0", "msnfs1"}, 150)
+	return sprinkler.Grid{
+		Base:       cfg,
+		Schedulers: sprinkler.Schedulers(),
+		Workloads:  []string{"cfs0", "msnfs1"},
+		Requests:   150,
+	}.Cells()
 }
 
 // TestSweepConcurrentMatchesSerial runs the same cells with one worker

@@ -18,7 +18,7 @@ import (
 // with the same parameters — so pay it once. Checkpoint serializes a
 // quiescent device's complete warm state (FTL page tables and wear,
 // per-plane spare pools and bad-block retirements, metrics accumulators,
-// queue admission counters, engine clocks, and every deterministic RNG
+// queue admission counters, the engine clock, and every deterministic RNG
 // stream position) into a versioned, checksummed binary file, and
 // RestoreDevice rebuilds a device from it that behaves byte-identically
 // to one that replayed the warm-up. The snapshot embeds the full Config
@@ -105,25 +105,21 @@ func (s *DeviceSnapshot) Stats() SnapshotStats {
 
 // CompatibleConfig reports whether cfg may run on a device hydrated from
 // this snapshot: it must equal the captured configuration in every field
-// except Scheduler, MaxBacklog, ParallelChannels, CollectSeries and
-// SeriesWindow. Warm state is scheduler-independent (preconditioning
-// never touches the scheduler, and per-run scheduler state is never part
-// of a snapshot), MaxBacklog only bounds host-side buffering (arrival
-// timestamps — and therefore the simulation — are unaffected),
-// ParallelChannels only selects the event kernel (serial and partitioned
-// kernels produce byte-identical timelines, and a quiescent snapshot
-// carries no pending events, so hydration adapts the clock shape), and
-// the series knobs only select what a run records. Any other difference
-// would change what the warm-up itself produced, so it is refused. One
-// caveat enforced at hydration time: a snapshot that itself carries
-// latency-series points (captured mid-experiment rather than after
-// preconditioning) requires the series knobs to match exactly, since a
-// different window would have retained a different history.
+// except Scheduler, MaxBacklog, CollectSeries and SeriesWindow. Warm state
+// is scheduler-independent (preconditioning never touches the scheduler,
+// and per-run scheduler state is never part of a snapshot), MaxBacklog
+// only bounds host-side buffering (arrival timestamps — and therefore the
+// simulation — are unaffected), and the series knobs only select what a
+// run records. Any other difference would change what the warm-up itself
+// produced, so it is refused. One caveat enforced at hydration time: a
+// snapshot that itself carries latency-series points (captured
+// mid-experiment rather than after preconditioning) requires the series
+// knobs to match exactly, since a different window would have retained a
+// different history.
 func (s *DeviceSnapshot) CompatibleConfig(cfg Config) bool {
 	c := s.cfg
 	c.Scheduler = cfg.Scheduler
 	c.MaxBacklog = cfg.MaxBacklog
-	c.ParallelChannels = cfg.ParallelChannels
 	c.CollectSeries = cfg.CollectSeries
 	c.SeriesWindow = cfg.SeriesWindow
 	return c == cfg
@@ -186,12 +182,19 @@ func ReadSnapshot(r io.Reader) (*DeviceSnapshot, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("sprinkler: snapshot has %d trailing bytes after the payload", len(rest))
 	}
-	var cfg Config
+	var stored struct {
+		Config
+		// ParallelChannels selected an event kernel that no longer exists;
+		// snapshots written while it did carry the key, so it is accepted
+		// and ignored (it never changed a timeline).
+		ParallelChannels int
+	}
 	dec := json.NewDecoder(bytes.NewReader(cfgJSON))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := dec.Decode(&stored); err != nil {
 		return nil, fmt.Errorf("sprinkler: snapshot config: %w", err)
 	}
+	cfg := stored.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sprinkler: snapshot config invalid: %w", err)
 	}

@@ -73,9 +73,9 @@ func runWorkload(t *testing.T, dev *sprinkler.Device, workload string, n int, se
 }
 
 // TestSnapshotRestoreReplayParity is the tentpole contract, randomized
-// over schedulers, kernels (serial and partitioned per-channel) and fault
-// specs: a device restored from a checkpoint must produce a byte-identical
-// Result to a device that replayed the same preconditioning.
+// over schedulers and fault specs: a device restored from a checkpoint
+// must produce a byte-identical Result to a device that replayed the same
+// preconditioning.
 func TestSnapshotRestoreReplayParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	workloads := []string{"msnfs1", "cfs0", "proj2"}
@@ -85,47 +85,37 @@ func TestSnapshotRestoreReplayParity(t *testing.T) {
 			ReadRetryMax: 3, ReadRetryMult: 2, RewriteMax: 3, SpareBlockFrac: 0.1, Seed: 99},
 	}
 	for _, kind := range sprinkler.Schedulers() {
-		for _, parallel := range []int{0, 2} {
-			for fi, faults := range faultSpecs {
-				kind, parallel, fi, faults := kind, parallel, fi, faults
-				name := fmt.Sprintf("%s/par=%d/faults=%d", kind, parallel, fi)
-				fill := 0.5 + rng.Float64()*0.4
-				churn := rng.Float64() * 0.5
-				preSeed := rng.Uint64()
-				wl := workloads[rng.Intn(len(workloads))]
-				runSeed := rng.Uint64()
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					cfg := agedConfig(kind)
-					cfg.ParallelChannels = parallel
-					cfg.Faults = faults
-					if parallel > 0 {
-						// Background GC forces the serial kernel; turn it off
-						// so this variant truly exercises the partitioned
-						// per-channel kernel's channel clocks.
-						cfg.DisableGC = true
-						cfg.LogicalPages = 0
-					}
+		for fi, faults := range faultSpecs {
+			kind, fi, faults := kind, fi, faults
+			name := fmt.Sprintf("%s/faults=%d", kind, fi)
+			fill := 0.5 + rng.Float64()*0.4
+			churn := rng.Float64() * 0.5
+			preSeed := rng.Uint64()
+			wl := workloads[rng.Intn(len(workloads))]
+			runSeed := rng.Uint64()
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				cfg := agedConfig(kind)
+				cfg.Faults = faults
 
-					// Reference: replay the warm-up, then the workload.
-					ref, err := sprinkler.New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref.Precondition(fill, churn, preSeed)
-					want := runWorkload(t, ref, wl, 300, runSeed)
+				// Reference: replay the warm-up, then the workload.
+				ref, err := sprinkler.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Precondition(fill, churn, preSeed)
+				want := runWorkload(t, ref, wl, 300, runSeed)
 
-					// Restored: the same warm-up through a checkpoint file.
-					raw := checkpointOf(t, cfg, fill, churn, preSeed)
-					dev, err := sprinkler.RestoreDevice(bytes.NewReader(raw))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := runWorkload(t, dev, wl, 300, runSeed); got != want {
-						t.Errorf("restored device diverged from replayed one:\n replay:  %s\n restore: %s", want, got)
-					}
-				})
-			}
+				// Restored: the same warm-up through a checkpoint file.
+				raw := checkpointOf(t, cfg, fill, churn, preSeed)
+				dev, err := sprinkler.RestoreDevice(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := runWorkload(t, dev, wl, 300, runSeed); got != want {
+					t.Errorf("restored device diverged from replayed one:\n replay:  %s\n restore: %s", want, got)
+				}
+			})
 		}
 	}
 }
@@ -161,8 +151,8 @@ func TestSnapshotSchedulerOverride(t *testing.T) {
 }
 
 // TestSnapshotConfigCompatibility pins which knobs may differ between
-// capture and hydration (scheduler, host-side observation budgets, the
-// event-kernel selector) and that everything else is refused.
+// capture and hydration (scheduler, host-side observation budgets) and
+// that everything else is refused.
 func TestSnapshotConfigCompatibility(t *testing.T) {
 	base := agedConfig(sprinkler.SPK3)
 	raw := checkpointOf(t, base, 0.7, 0.2, 3)
@@ -175,7 +165,6 @@ func TestSnapshotConfigCompatibility(t *testing.T) {
 		func(c *sprinkler.Config) { c.Scheduler = sprinkler.VAS },
 		func(c *sprinkler.Config) { c.MaxBacklog = 4096 },
 		func(c *sprinkler.Config) { c.CollectSeries = true; c.SeriesWindow = 64 },
-		func(c *sprinkler.Config) { c.ParallelChannels = 2 },
 	}
 	for i, mutate := range allowed {
 		cfg := base
@@ -268,6 +257,56 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 				t.Errorf("RestoreDevice returned (%v, %v) for damaged input", dev, err)
 			}
 		})
+	}
+}
+
+// TestSnapshotLegacyParallelChannelsKey pins the one legacy config key
+// the strict snapshot decoder accepts: files written while devices had a
+// ParallelChannels knob carry it in their config JSON. A copy of a fresh
+// snapshot with "ParallelChannels":4 spliced in must decode to the same
+// config and run byte-identically; any other unknown key stays an error.
+func TestSnapshotLegacyParallelChannelsKey(t *testing.T) {
+	raw := checkpointOf(t, agedConfig(sprinkler.SPK3), 0.7, 0.2, 5)
+	withKey := func(key string) []byte {
+		return mutateSnapshot(raw, func(b []byte) []byte {
+			n, w := binary.Uvarint(b[12:])
+			cfgJSON := b[12+w : 12+w+int(n)]
+			if cfgJSON[0] != '{' {
+				t.Fatalf("config section does not start a JSON object: %q", cfgJSON[:8])
+			}
+			edited := append([]byte("{"+key+","), cfgJSON[1:]...)
+			out := append([]byte(nil), b[:12]...)
+			out = binary.AppendUvarint(out, uint64(len(edited)))
+			out = append(out, edited...)
+			return append(out, b[12+w+int(n):]...)
+		})
+	}
+
+	plain, err := sprinkler.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := sprinkler.ReadSnapshot(bytes.NewReader(withKey(`"ParallelChannels":4`)))
+	if err != nil {
+		t.Fatalf("legacy ParallelChannels key rejected: %v", err)
+	}
+	if legacy.Config() != plain.Config() {
+		t.Fatalf("legacy key changed the decoded config:\n plain:  %+v\n legacy: %+v", plain.Config(), legacy.Config())
+	}
+	run := func(snap *sprinkler.DeviceSnapshot) string {
+		dev, err := snap.NewDevice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runWorkload(t, dev, "cfs0", 300, 21)
+	}
+	if got, want := run(legacy), run(plain); got != want {
+		t.Errorf("legacy-key snapshot diverged:\n plain:  %s\n legacy: %s", want, got)
+	}
+
+	if _, err := sprinkler.ReadSnapshot(bytes.NewReader(withKey(`"Bogus":1`))); err == nil ||
+		!strings.Contains(err.Error(), "Bogus") {
+		t.Errorf("unknown config key not rejected by name: %v", err)
 	}
 }
 

@@ -187,3 +187,60 @@ func TestNumChips(t *testing.T) {
 		t.Fatalf("NumChips = %d, want 8", dev.NumChips())
 	}
 }
+
+// TestPublicAPIGCFreeTargetRunsGC pins that a raised GCFreeTarget keeps
+// planes under collection pressure: an aged drive fed sequential writes
+// must run background GC and still complete every I/O.
+func TestPublicAPIGCFreeTargetRunsGC(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Channels = 4
+	cfg.ChipsPerChan = 2
+	cfg.BlocksPerPlane = 32
+	cfg.PagesPerBlock = 16
+	cfg.GCFreeTarget = 8
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Precondition(0.8, 0.5, 11)
+	res, err := dev.RunRequests(SequentialWrites(800, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IOsCompleted != 800 || res.FailedIOs != 0 {
+		t.Fatalf("completed %d/800, %d failed", res.IOsCompleted, res.FailedIOs)
+	}
+	if res.GCRuns == 0 {
+		t.Fatal("GCFreeTarget=8 on an aged drive never ran GC")
+	}
+}
+
+// TestPublicAPISingleChannel runs an aged single-channel platform end to
+// end: every chip shares one bus, so all traffic (GC included) serializes
+// on it.
+func TestPublicAPISingleChannel(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Channels = 1
+	cfg.ChipsPerChan = 4
+	cfg.BlocksPerPlane = 32
+	cfg.PagesPerBlock = 16
+	cfg.GCFreeTarget = 8
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.NumChips() != 4 {
+		t.Fatalf("NumChips = %d, want 4", dev.NumChips())
+	}
+	dev.Precondition(0.8, 0.5, 11)
+	res, err := dev.RunRequests(SequentialWrites(400, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IOsCompleted != 400 || res.FailedIOs != 0 {
+		t.Fatalf("completed %d/400, %d failed", res.IOsCompleted, res.FailedIOs)
+	}
+	if res.BytesWritten != 400*4*2048 {
+		t.Fatalf("bytes written %d", res.BytesWritten)
+	}
+}
